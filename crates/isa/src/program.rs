@@ -2,6 +2,7 @@
 
 use crate::inst::Inst;
 use crate::mem::SparseMemory;
+use bfetch_snapshot::{Decoder, Encoder, Snap, SnapshotError};
 use std::sync::Arc;
 
 /// Base byte address at which code is laid out (for I-cache modelling and
@@ -117,22 +118,42 @@ impl Program {
     }
 }
 
-impl bfetch_snapshot::Snap for Program {
-    fn save(&self, w: &mut bfetch_snapshot::Encoder) {
-        self.name.to_string().save(w);
-        self.insts.to_vec().save(w);
-        self.data.to_vec().save(w);
+// Data segments are bulk-copied word runs; the layout is that of
+// `(String, Vec<Inst>, Vec<(u64, Vec<u64>)>)`.
+impl Snap for Program {
+    fn save(&self, w: &mut Encoder) {
+        w.put_len_bytes(self.name.as_bytes());
+        bfetch_snapshot::save_slice(&self.insts, w);
+        w.put_usize(self.data.len());
+        for (base, words) in self.data.iter() {
+            w.put_u64(*base);
+            w.put_usize(words.len());
+            w.put_u64s(words);
+        }
     }
 
-    fn load(r: &mut bfetch_snapshot::Decoder<'_>) -> Result<Self, bfetch_snapshot::SnapshotError> {
+    fn load(r: &mut Decoder<'_>) -> Result<Self, SnapshotError> {
         let name = String::load(r)?;
-        let insts: Vec<Inst> = bfetch_snapshot::Snap::load(r)?;
-        let data: Vec<(u64, Vec<u64>)> = bfetch_snapshot::Snap::load(r)?;
+        let insts: Vec<Inst> = Snap::load(r)?;
+        let n = r.take_len()?;
+        let mut data = Vec::with_capacity(n);
+        for _ in 0..n {
+            let base = r.take_u64()?;
+            let len = r.take_len()?;
+            if len > r.remaining() / 8 {
+                return Err(SnapshotError::Invalid {
+                    what: "data segment exceeds remaining input",
+                });
+            }
+            let mut words = vec![0; len];
+            r.take_u64s(&mut words)?;
+            data.push((base, words));
+        }
         // Validate branch targets here so a corrupt snapshot is a typed
         // error rather than the constructor's panic.
         for inst in &insts {
             if inst.branch_target().is_some_and(|t| t >= insts.len()) {
-                return Err(bfetch_snapshot::SnapshotError::Invalid {
+                return Err(SnapshotError::Invalid {
                     what: "branch target out of program range",
                 });
             }

@@ -4,6 +4,7 @@ use crate::inst::Inst;
 use crate::mem::SparseMemory;
 use crate::program::Program;
 use crate::reg::{Reg, NUM_REGS};
+use bfetch_snapshot::{Decoder, Encoder, Snap, SnapshotError};
 
 /// Summary of one functionally executed instruction, consumed by the timing
 /// model and by the B-Fetch learning hooks.
@@ -217,9 +218,33 @@ impl ArchState {
     }
 }
 
-// The full architectural state is plain data (the program itself is
-// snapshotted separately), so the struct macro captures it exactly.
-bfetch_snapshot::impl_snap_struct!(ArchState { regs, pc, halted, mem, retired });
+// The program is snapshotted separately, so memory is stored as a delta
+// against its initial data image (see `SparseMemory::save_delta`).
+impl ArchState {
+    /// Appends registers, control state and the memory pages that differ
+    /// from `program`'s initial data image.
+    pub fn save_state(&self, program: &Program, w: &mut Encoder) {
+        self.regs.save(w);
+        self.pc.save(w);
+        self.halted.save(w);
+        self.retired.save(w);
+        self.mem.save_delta(program.data(), w);
+    }
+
+    /// Restores state written by [`save_state`](Self::save_state) into a
+    /// state freshly built by [`ArchState::new`] for the same `program`.
+    pub fn load_state(
+        &mut self,
+        program: &Program,
+        r: &mut Decoder<'_>,
+    ) -> Result<(), SnapshotError> {
+        self.regs = Snap::load(r)?;
+        self.pc = Snap::load(r)?;
+        self.halted = Snap::load(r)?;
+        self.retired = Snap::load(r)?;
+        self.mem.load_delta(program.data(), r)
+    }
+}
 
 #[cfg(test)]
 mod tests {

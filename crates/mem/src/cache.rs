@@ -297,8 +297,10 @@ bfetch_snapshot::impl_snap_struct!(CacheStats {
 impl bfetch_snapshot::SnapState for SetAssocCache {
     fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
         use bfetch_snapshot::Snap as _;
-        bfetch_snapshot::save_slice(&self.tags, w);
-        bfetch_snapshot::save_slice(&self.ranks, w);
+        // tags and ranks are bulk-copied; the layout is `save_slice`'s
+        w.put_usize(self.tags.len());
+        w.put_u64s(&self.tags);
+        w.put_len_bytes(&self.ranks);
         bfetch_snapshot::save_slice(&self.metas, w);
         self.stats.save(w);
     }
@@ -308,8 +310,15 @@ impl bfetch_snapshot::SnapState for SetAssocCache {
         r: &mut bfetch_snapshot::Decoder<'_>,
     ) -> Result<(), bfetch_snapshot::SnapshotError> {
         use bfetch_snapshot::Snap as _;
-        bfetch_snapshot::load_slice_exact(&mut self.tags, r, "cache tags")?;
-        bfetch_snapshot::load_slice_exact(&mut self.ranks, r, "cache ranks")?;
+        if r.take_len()? != self.tags.len() {
+            return Err(bfetch_snapshot::SnapshotError::Invalid { what: "cache tags" });
+        }
+        r.take_u64s(&mut self.tags)?;
+        let ranks = r.take_len_bytes()?;
+        if ranks.len() != self.ranks.len() {
+            return Err(bfetch_snapshot::SnapshotError::Invalid { what: "cache ranks" });
+        }
+        self.ranks.copy_from_slice(ranks);
         bfetch_snapshot::load_slice_exact(&mut self.metas, r, "cache metas")?;
         // every valid rank must stay below the associativity, or the LRU
         // permutation invariant is broken before the first access

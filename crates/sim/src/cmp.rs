@@ -421,6 +421,8 @@ pub(crate) fn run_ctrl(
     let ctrl_on = ctrl.path.is_some() || ctrl.stop.is_some();
     let start_now = now;
     let mut last_ckpt = now;
+    // the run's encoded programs section, shared by all its checkpoints
+    let mut programs_section = None;
 
     loop {
         if ctrl_on && now & POLL_MASK == 0 && now != start_now {
@@ -433,6 +435,7 @@ pub(crate) fn run_ctrl(
                     path,
                     cfg,
                     programs,
+                    &mut programs_section,
                     insts,
                     ctrl.every,
                     &core_refs,

@@ -1034,13 +1034,15 @@ bfetch_snapshot::impl_snap_struct!(CpiAccounting {
 
 // Everything constructed from the config (id, program, params, geometry)
 // is rebuilt by `Core::new` before `load_state`; only the mutable
-// simulation state crosses the wire. The allocation-recycling pools and
-// the per-access scratch buffer are working memory, not state — a resumed
-// run starts them empty, which changes nothing observable.
+// simulation state crosses the wire, data memory only where it differs
+// from the program image `Core::new` has just loaded. The
+// allocation-recycling pools and the per-access scratch buffer are working
+// memory, not state — a resumed run starts them empty, which changes
+// nothing observable.
 impl bfetch_snapshot::SnapState for Core {
     fn save_state(&self, w: &mut bfetch_snapshot::Encoder) {
         use bfetch_snapshot::Snap as _;
-        self.arch.save(w);
+        self.arch.save_state(&self.program, w);
         self.bp.save_state(w);
         self.ghr.save(w);
         self.btb.save_state(w);
@@ -1085,7 +1087,7 @@ impl bfetch_snapshot::SnapState for Core {
         r: &mut bfetch_snapshot::Decoder<'_>,
     ) -> Result<(), bfetch_snapshot::SnapshotError> {
         use bfetch_snapshot::Snap as _;
-        self.arch = ArchState::load(r)?;
+        self.arch.load_state(&self.program, r)?;
         self.bp.load_state(r)?;
         self.ghr = HistoryRegister::load(r)?;
         self.btb.load_state(r)?;

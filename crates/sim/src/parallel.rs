@@ -391,6 +391,8 @@ pub(crate) fn try_run_multi_parallel(
             let mut remaining = finished.iter().filter(|f| f.is_none()).count();
             let ctrl_on = ctrl.path.is_some() || ctrl.stop.is_some();
             let mut last_ckpt = now;
+            // the run's encoded programs section, shared by all its checkpoints
+            let mut programs_section = None;
 
             loop {
                 // ---- coordinator phase ----
@@ -420,6 +422,7 @@ pub(crate) fn try_run_multi_parallel(
                                 path,
                                 cfg,
                                 programs,
+                                &mut programs_section,
                                 insts,
                                 ctrl.every,
                                 &core_refs,

@@ -38,9 +38,10 @@ use bfetch_stats::trace::TraceSink;
 const SEC_META: u32 = 1;
 /// The full [`SimConfig`].
 const SEC_CONFIG: u32 = 2;
-/// The per-core programs.
+/// The per-core programs, data images included.
 const SEC_PROGRAMS: u32 = 3;
-/// Every core's pipeline/predictor/engine state, in core order.
+/// Every core's pipeline/predictor/engine state, in core order. Data
+/// memory is stored as a delta against the program's image.
 const SEC_CORES: u32 = 4;
 /// The memory hierarchy: per-core levels, shared levels, chip guard.
 const SEC_MEM: u32 = 5;
@@ -118,14 +119,19 @@ fn load_result(r: &mut Decoder<'_>, prefetcher: &'static str) -> Result<RunResul
     })
 }
 
-/// Serializes the whole run into a frame and writes it to `path`
+/// Serializes the whole run into a frame and streams it to `path`
 /// atomically (pid-tagged tmp sibling + rename), so a reader — including
 /// a resume racing a crash — never observes a half-written checkpoint.
+///
+/// Programs are immutable for the life of a run, so their section is
+/// encoded into `programs_section` by the run's first checkpoint and the
+/// same bytes are reused by every later one.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn write_checkpoint(
     path: &Path,
     cfg: &SimConfig,
     programs: &[Program],
+    programs_section: &mut Option<Vec<u8>>,
     insts: u64,
     every: u64,
     cores: &[&Core],
@@ -146,9 +152,12 @@ pub(crate) fn write_checkpoint(
     cfg.save(&mut config);
     frame.add(SEC_CONFIG, config);
 
-    let mut progs = Encoder::new();
-    bfetch_snapshot::save_slice(programs, &mut progs);
-    frame.add(SEC_PROGRAMS, progs);
+    let progs = programs_section.get_or_insert_with(|| {
+        let mut progs = Encoder::new();
+        bfetch_snapshot::save_slice(programs, &mut progs);
+        progs.into_bytes()
+    });
+    frame.add_encoded(SEC_PROGRAMS, progs);
 
     let mut cs = Encoder::new();
     for c in cores {
@@ -183,7 +192,7 @@ pub(crate) fn write_checkpoint(
     ls.trace_sink.save(&mut lp);
     frame.add(SEC_LOOP, lp);
 
-    bfetch_snapshot::write_file_atomic(path, &frame.finish())
+    frame.write_file_atomic(path)
 }
 
 /// Reads and fully validates a checkpoint, reconstructing every simulation

@@ -11,8 +11,16 @@ use bfetch_isa::{Program, ProgramBuilder, Reg};
 use bfetch_sim::{PrefetcherKind, RunOutput, SimConfig, SimError, SimSession};
 
 fn kernel(name: &str, words: u64) -> Program {
+    kernel_over(name, words, &[])
+}
+
+/// [`kernel`] reading `image` as its initial data; it never stores.
+fn kernel_over(name: &str, words: u64, image: &[u64]) -> Program {
     let mut b = ProgramBuilder::new(name);
     let base = 0x100_0000u64;
+    if !image.is_empty() {
+        b.init_words(base, image);
+    }
     b.li(Reg::R1, base as i64);
     b.li(Reg::R2, (base + words * 8) as i64);
     let top = b.label();
@@ -24,6 +32,51 @@ fn kernel(name: &str, words: u64) -> Program {
     }
     b.addi(Reg::R1, Reg::R1, 64);
     b.blt(Reg::R1, Reg::R2, top);
+    b.halt();
+    b.finish()
+}
+
+const IMAGE_BASE: u64 = 0x300_0000;
+const FRESH_BASE: u64 = 0x500_0000;
+/// Eight pages of image, a power of two so indices can be masked.
+const IMAGE_WORDS: u64 = 4096;
+
+/// A pointer chase over a data image that rewrites the first half of the
+/// image as it walks and writes into eight fresh pages beyond it. Each next
+/// index depends on values loaded from both, and the core restarts the
+/// program with its memory kept, so a resume that restored memory wrongly
+/// takes a different path and changes the timing results.
+fn image_writer(name: &str) -> Program {
+    let mut b = ProgramBuilder::new(name);
+    let image: Vec<u64> = (0..IMAGE_WORDS).map(|i| i.wrapping_mul(0x9E37_79B9) >> 7).collect();
+    b.init_words(IMAGE_BASE, &image);
+    b.li(Reg::R1, 0); // index
+    b.li(Reg::R2, IMAGE_BASE as i64);
+    b.li(Reg::R3, FRESH_BASE as i64);
+    b.li(Reg::R7, (IMAGE_WORDS - 1) as i64);
+    b.li(Reg::R8, (IMAGE_WORDS / 2) as i64);
+    b.li(Reg::R9, 0); // step counter
+    b.li(Reg::R10, 150); // steps per pass
+    let top = b.label();
+    let skip = b.label();
+    b.bind(top);
+    b.slli(Reg::R4, Reg::R1, 3);
+    b.add(Reg::R4, Reg::R4, Reg::R2);
+    b.load(Reg::R5, Reg::R4, 0);
+    b.bge(Reg::R1, Reg::R8, skip);
+    b.add(Reg::R6, Reg::R5, Reg::R9);
+    b.store(Reg::R6, Reg::R4, 0);
+    b.bind(skip);
+    b.and(Reg::R11, Reg::R5, Reg::R7);
+    b.slli(Reg::R11, Reg::R11, 3);
+    b.add(Reg::R11, Reg::R11, Reg::R3);
+    b.load(Reg::R12, Reg::R11, 0);
+    b.add(Reg::R12, Reg::R12, Reg::R9);
+    b.store(Reg::R12, Reg::R11, 0);
+    b.add(Reg::R1, Reg::R5, Reg::R12);
+    b.and(Reg::R1, Reg::R1, Reg::R7);
+    b.addi(Reg::R9, Reg::R9, 1);
+    b.blt(Reg::R9, Reg::R10, top);
     b.halt();
     b.finish()
 }
@@ -249,6 +302,75 @@ fn resuming_the_same_checkpoint_twice_is_deterministic() {
     let b = SimSession::resume(&ckpt).unwrap();
     assert_same_output(&a, &b);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `programs` twice with a checkpoint at every poll point: once
+/// uninterrupted, and once interrupted and resumed at every poll point.
+/// Both must give the same results, and the last checkpoint each leaves
+/// on disk — written at the same cycle, by the uninterrupted run and by a
+/// resumed one — must be byte-identical, memory delta included.
+fn resumed_checkpoints_match_uninterrupted(tag: &str, programs: &[Program], insts: u64) {
+    let dir = tmpdir(&format!("{tag}-plain"));
+    let uninterrupted = SimSession::new(cfg())
+        .instructions(insts)
+        .checkpoint_every(1024, &dir)
+        .run(programs)
+        .unwrap();
+    let plain_ckpt = std::fs::read(dir.join("checkpoint.snap")).unwrap();
+
+    let dir2 = tmpdir(&format!("{tag}-resumed"));
+    let ckpt = dir2.join("checkpoint.snap");
+    let session = SimSession::new(cfg())
+        .instructions(insts)
+        .checkpoint_every(1024, &dir2);
+    let (resumed, interrupts) = run_with_constant_interrupts(session, programs, &ckpt);
+    assert!(interrupts >= 3, "run too short ({interrupts} interrupts)");
+    assert_same_output(&uninterrupted, &resumed);
+    let resumed_ckpt = std::fs::read(&ckpt).unwrap();
+    assert!(resumed_ckpt == plain_ckpt, "checkpoints at the same cycle differ");
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&dir2);
+}
+
+#[test]
+fn image_writes_survive_kill_and_resume_at_every_poll_point() {
+    resumed_checkpoints_match_uninterrupted("image", &[image_writer("ckpt-image")], 3_000);
+}
+
+#[test]
+fn in_place_quicksort_survives_kill_and_resume_at_every_poll_point() {
+    let qs = bfetch_workloads::program_by_name("quicksort").unwrap();
+    let p = qs.build(bfetch_workloads::Scale::Small);
+    resumed_checkpoints_match_uninterrupted("quicksort", &[p], 20_000);
+}
+
+#[test]
+fn an_unwritten_image_is_stored_once() {
+    const N: u64 = 16 * 1024;
+    let image: Vec<u64> = (1..=N).collect();
+    let size = |tag: &str, p: Program| {
+        let dir = tmpdir(tag);
+        let err = SimSession::new(cfg())
+            .instructions(3_000)
+            .checkpoint_every(0, &dir)
+            .stop_flag(armed_stop())
+            .run_one(&p)
+            .unwrap_err();
+        assert!(matches!(err, SimError::Interrupted { .. }));
+        let n = std::fs::metadata(dir.join("checkpoint.snap")).unwrap().len();
+        let _ = std::fs::remove_dir_all(&dir);
+        n
+    };
+    let without = size("once-a", kernel_over("ckpt-once", N, &[]));
+    let with = size("once-b", kernel_over("ckpt-once", N, &image));
+    // The image sits in the programs section only; a second copy in the
+    // core state would add another N * 8 bytes.
+    assert!(
+        with - without <= N * 8 + 4096,
+        "image of {} bytes grew the checkpoint by {}",
+        N * 8,
+        with - without
+    );
 }
 
 #[test]

@@ -39,8 +39,11 @@
 //! assert_eq!(back, (7, vec![1, 2, 3]));
 //! ```
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::fmt;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::Path;
 
 /// Magic bytes opening every snapshot file ("BFSNAP" + container rev).
@@ -51,7 +54,7 @@ pub const MAGIC: [u8; 8] = *b"BFSNAP01";
 /// Bump this whenever any `Snap`/`SnapState` impl changes its byte layout;
 /// readers reject every version other than their own — see DESIGN.md §15
 /// for the compatibility policy.
-pub const SCHEMA_VERSION: u32 = 1;
+pub const SCHEMA_VERSION: u32 = 2;
 
 /// Typed error for every way a snapshot can fail to load.
 ///
@@ -110,11 +113,14 @@ impl SnapshotError {
 }
 
 // ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected), table-driven.
+// CRC-32 (IEEE 802.3, reflected), slice-by-8.
 // ---------------------------------------------------------------------------
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// `CRC32_TABLES[0]` is the classic bytewise table; `CRC32_TABLES[k][i]` is
+/// the CRC of byte `i` followed by `k` zero bytes, so eight table lookups
+/// fold eight input bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -123,21 +129,67 @@ const fn crc32_table() -> [u32; 256] {
             c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-const CRC32_TABLE: [u32; 256] = crc32_table();
+const CRC32_TABLES: [[u32; 256]; 8] = crc32_tables();
+
+/// Running CRC-32 (IEEE), for checksumming a frame written piece by piece.
+struct Crc32(u32);
+
+impl Crc32 {
+    /// A checksum over no bytes yet.
+    fn new() -> Self {
+        Self(0xFFFF_FFFF)
+    }
+
+    /// Folds `bytes` into the checksum.
+    fn update(&mut self, bytes: &[u8]) {
+        let t = &CRC32_TABLES;
+        let mut c = self.0;
+        let mut chunks = bytes.chunks_exact(8);
+        for ch in &mut chunks {
+            let lo = c ^ u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
+            let hi = u32::from_le_bytes([ch[4], ch[5], ch[6], ch[7]]);
+            c = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
+        }
+        for &b in chunks.remainder() {
+            c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        self.0 = c;
+    }
+
+    /// The checksum of every byte folded in so far.
+    fn value(&self) -> u32 {
+        !self.0
+    }
+}
 
 /// CRC-32 (IEEE) of `bytes`, as used for the whole-file checksum.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
+    let mut c = Crc32::new();
+    c.update(bytes);
+    c.value()
 }
 
 // ---------------------------------------------------------------------------
@@ -201,6 +253,16 @@ impl Encoder {
         self.put_u64(v as u64);
     }
 
+    /// Writes `xs` as consecutive little-endian `u64`s (no length prefix);
+    /// the same bytes as a `put_u64` per element, in one bulk copy.
+    pub fn put_u64s(&mut self, xs: &[u64]) {
+        let start = self.buf.len();
+        self.buf.resize(start + xs.len() * 8, 0);
+        for (dst, x) in self.buf[start..].chunks_exact_mut(8).zip(xs) {
+            dst.copy_from_slice(&x.to_le_bytes());
+        }
+    }
+
     /// Writes a length-prefixed byte string.
     pub fn put_len_bytes(&mut self, bytes: &[u8]) {
         self.put_usize(bytes.len());
@@ -262,6 +324,17 @@ impl<'a> Decoder<'a> {
     /// Takes a little-endian `u64`.
     pub fn take_u64(&mut self) -> Result<u64, SnapshotError> {
         Ok(u64::from_le_bytes(self.take_bytes(8)?.try_into().unwrap()))
+    }
+
+    /// Fills `dst` with consecutive little-endian `u64`s (the counterpart
+    /// of [`Encoder::put_u64s`]), checking the bounds once for the slice.
+    pub fn take_u64s(&mut self, dst: &mut [u64]) -> Result<(), SnapshotError> {
+        // a `[u64]` never spans more than `isize::MAX` bytes, so no overflow
+        let src = self.take_bytes(dst.len() * 8)?;
+        for (d, s) in dst.iter_mut().zip(src.chunks_exact(8)) {
+            *d = u64::from_le_bytes(s.try_into().unwrap());
+        }
+        Ok(())
     }
 
     /// Takes a `usize` stored as `u64`, rejecting values that do not fit.
@@ -607,12 +680,16 @@ macro_rules! impl_snap_enum {
 
 /// Builds the on-disk frame: magic, schema version, `(id, len, payload)`
 /// sections in the order added, and a trailing CRC-32.
+///
+/// Sections are either owned (a fresh [`Encoder`]) or borrowed bytes
+/// encoded earlier, so a payload that does not change between frames
+/// (a run's programs) is encoded once and reused by every later frame.
 #[derive(Debug, Default)]
-pub struct FrameWriter {
-    sections: Vec<(u32, Vec<u8>)>,
+pub struct FrameWriter<'a> {
+    sections: Vec<(u32, Cow<'a, [u8]>)>,
 }
 
-impl FrameWriter {
+impl<'a> FrameWriter<'a> {
     /// An empty frame.
     pub fn new() -> Self {
         Self::default()
@@ -620,25 +697,76 @@ impl FrameWriter {
 
     /// Appends a section; `id`s should be unique (readers take the first).
     pub fn add(&mut self, id: u32, payload: Encoder) {
-        self.sections.push((id, payload.into_bytes()));
+        self.sections.push((id, Cow::Owned(payload.into_bytes())));
+    }
+
+    /// Appends a section whose payload bytes were encoded earlier.
+    pub fn add_encoded(&mut self, id: u32, payload: &'a [u8]) {
+        self.sections.push((id, Cow::Borrowed(payload)));
+    }
+
+    /// Streams the complete frame into `out` piece by piece, with a
+    /// running checksum, so the frame is never assembled in memory.
+    pub fn write_to(&self, out: &mut impl Write) -> std::io::Result<()> {
+        let mut crc = Crc32::new();
+        let mut put = |bytes: &[u8]| {
+            crc.update(bytes);
+            out.write_all(bytes)
+        };
+        put(&MAGIC)?;
+        put(&SCHEMA_VERSION.to_le_bytes())?;
+        put(&(self.sections.len() as u32).to_le_bytes())?;
+        for (id, payload) in &self.sections {
+            put(&id.to_le_bytes())?;
+            put(&(payload.len() as u64).to_le_bytes())?;
+            put(payload)?;
+        }
+        out.write_all(&crc.value().to_le_bytes())
     }
 
     /// Serializes the complete frame, checksum included.
-    pub fn finish(self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(
-            MAGIC.len() + 8 + self.sections.iter().map(|(_, p)| 12 + p.len()).sum::<usize>() + 4,
-        );
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&SCHEMA_VERSION.to_le_bytes());
-        out.extend_from_slice(&(self.sections.len() as u32).to_le_bytes());
-        for (id, payload) in &self.sections {
-            out.extend_from_slice(&id.to_le_bytes());
-            out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-            out.extend_from_slice(payload);
-        }
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
+    pub fn finish(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.write_to(&mut out).expect("writing to a Vec cannot fail");
         out
+    }
+
+    /// Streams the frame to `path` atomically: a pid-tagged `*.tmp.{pid}`
+    /// sibling is written in full, then renamed over the destination, so
+    /// readers never observe a half-written snapshot from a crashed or
+    /// killed process.
+    ///
+    /// The file is not fsynced. After a power loss the renamed file can
+    /// still be torn; the frame's CRC catches that on read
+    /// ([`SnapshotError::BadChecksum`]) and the harness quarantines the file.
+    pub fn write_file_atomic(&self, path: &Path) -> Result<(), SnapshotError> {
+        let pid = std::process::id();
+        let tmp = match (path.parent(), path.file_name()) {
+            (Some(dir), Some(name)) => {
+                let mut n = name.to_os_string();
+                n.push(format!(".tmp.{pid}"));
+                dir.join(n)
+            }
+            _ => return Err(SnapshotError::Io { op: "write", detail: "path has no parent/file name".into() }),
+        };
+        if let Some(dir) = path.parent() {
+            if !dir.as_os_str().is_empty() {
+                std::fs::create_dir_all(dir).map_err(|e| SnapshotError::io("create dir", e))?;
+            }
+        }
+        let written = File::create(&tmp).and_then(|f| {
+            let mut out = BufWriter::new(f);
+            self.write_to(&mut out)?;
+            out.flush()
+        });
+        if let Err(e) = written {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(SnapshotError::io("write tmp", e));
+        }
+        std::fs::rename(&tmp, path).map_err(|e| {
+            let _ = std::fs::remove_file(&tmp);
+            SnapshotError::io("rename tmp", e)
+        })
     }
 }
 
@@ -705,31 +833,6 @@ pub fn validate_frame(bytes: &[u8]) -> Result<(), SnapshotError> {
     FrameReader::parse(bytes).map(|_| ())
 }
 
-/// Writes `bytes` to `path` atomically: a pid-tagged `*.tmp.{pid}` sibling
-/// is written, flushed, then renamed over the destination, so readers never
-/// observe a half-written snapshot.
-pub fn write_file_atomic(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
-    let pid = std::process::id();
-    let tmp = match (path.parent(), path.file_name()) {
-        (Some(dir), Some(name)) => {
-            let mut n = name.to_os_string();
-            n.push(format!(".tmp.{pid}"));
-            dir.join(n)
-        }
-        _ => return Err(SnapshotError::Io { op: "write", detail: "path has no parent/file name".into() }),
-    };
-    if let Some(dir) = path.parent() {
-        if !dir.as_os_str().is_empty() {
-            std::fs::create_dir_all(dir).map_err(|e| SnapshotError::io("create dir", e))?;
-        }
-    }
-    std::fs::write(&tmp, bytes).map_err(|e| SnapshotError::io("write tmp", e))?;
-    std::fs::rename(&tmp, path).map_err(|e| {
-        let _ = std::fs::remove_file(&tmp);
-        SnapshotError::io("rename tmp", e)
-    })
-}
-
 /// Reads a whole snapshot file.
 pub fn read_file(path: &Path) -> Result<Vec<u8>, SnapshotError> {
     std::fs::read(path).map_err(|e| SnapshotError::io("read", e))
@@ -746,6 +849,70 @@ mod tests {
         let mut r = Decoder::new(&bytes);
         assert_eq!(T::load(&mut r).unwrap(), v);
         r.finish().unwrap();
+    }
+
+    /// The original bytewise CRC, kept as the oracle for the slice-by-8 one.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_matches_known_check_value() {
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_oracle_at_every_length_and_offset() {
+        let buf: Vec<u8> = (0..80u32).map(|i| (i.wrapping_mul(0x9E) ^ 0x5A) as u8).collect();
+        for start in 0..8 {
+            for len in 0..=64 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_oracle_on_a_large_random_buffer() {
+        let mut rng = bfetch_prng::SplitMix64::new(0xC0C0_A1A1);
+        let mut buf = Vec::with_capacity(3 << 20);
+        while buf.len() < (3 << 20) + 5 {
+            buf.extend_from_slice(&rng.next_u64().to_le_bytes());
+        }
+        assert_eq!(crc32(&buf), crc32_bytewise(&buf));
+        // the running checksum is split-invariant
+        let mut c = Crc32::new();
+        for piece in buf.chunks(4093) {
+            c.update(piece);
+        }
+        assert_eq!(c.value(), crc32_bytewise(&buf));
+    }
+
+    #[test]
+    fn bulk_u64s_match_per_word_encoding() {
+        let xs = [0u64, 1, u64::MAX, 0x0123_4567_89AB_CDEF];
+        let mut bulk = Encoder::new();
+        bulk.put_u64s(&xs);
+        let mut each = Encoder::new();
+        for &x in &xs {
+            each.put_u64(x);
+        }
+        let bytes = bulk.into_bytes();
+        assert_eq!(bytes, each.into_bytes());
+        let mut back = [0u64; 4];
+        let mut r = Decoder::new(&bytes);
+        r.take_u64s(&mut back).unwrap();
+        r.finish().unwrap();
+        assert_eq!(back, xs);
+        // one word short is a typed truncation, and nothing is consumed
+        let mut r = Decoder::new(&bytes[..24]);
+        assert!(matches!(r.take_u64s(&mut back), Err(SnapshotError::Truncated { at: 0, need: 32 })));
+        assert_eq!(r.remaining(), 24);
     }
 
     #[test]
@@ -847,7 +1014,7 @@ mod tests {
         );
     }
 
-    fn sample_frame() -> Vec<u8> {
+    fn sample_writer() -> FrameWriter<'static> {
         let mut a = Encoder::new();
         (42u64, String::from("hello")).save(&mut a);
         let mut b = Encoder::new();
@@ -855,7 +1022,11 @@ mod tests {
         let mut f = FrameWriter::new();
         f.add(1, a);
         f.add(2, b);
-        f.finish()
+        f
+    }
+
+    fn sample_frame() -> Vec<u8> {
+        sample_writer().finish()
     }
 
     #[test]
@@ -923,12 +1094,27 @@ mod tests {
     }
 
     #[test]
+    fn borrowed_sections_and_streaming_match_finish() {
+        let mut a = Encoder::new();
+        (42u64, String::from("hello")).save(&mut a);
+        let a = a.into_bytes();
+        let mut b = Encoder::new();
+        vec![1u32, 2, 3].save(&mut b);
+        let mut f = FrameWriter::new();
+        f.add_encoded(1, &a);
+        f.add(2, b);
+        let mut streamed = Vec::new();
+        f.write_to(&mut streamed).unwrap();
+        assert_eq!(streamed, sample_frame());
+        assert_eq!(f.finish(), sample_frame());
+    }
+
+    #[test]
     fn atomic_write_and_read_back() {
         let dir = std::env::temp_dir().join(format!("bfsnap-test-{}", std::process::id()));
         let path = dir.join("x.snap");
-        let bytes = sample_frame();
-        write_file_atomic(&path, &bytes).unwrap();
-        assert_eq!(read_file(&path).unwrap(), bytes);
+        sample_writer().write_file_atomic(&path).unwrap();
+        assert_eq!(read_file(&path).unwrap(), sample_frame());
         validate_frame(&read_file(&path).unwrap()).unwrap();
         // no tmp file left behind
         let leftovers: Vec<_> = std::fs::read_dir(&dir)

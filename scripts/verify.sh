@@ -21,6 +21,11 @@ cargo test -q
 echo "==> workspace tests"
 cargo test --workspace -q
 
+echo "==> benchmark package tests: committed digests, resume-equals-fresh"
+# perfbench is a package of its own (its own [workspace]), so the
+# workspace test run above does not reach it.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
+
 echo "==> clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
